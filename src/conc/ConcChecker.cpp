@@ -6,14 +6,9 @@
 
 #include "conc/ConcChecker.h"
 
-#include "seqcheck/Profile.h"
-#include "seqcheck/StateStore.h"
-#include "telemetry/Telemetry.h"
+#include "seqcheck/Explore.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <deque>
 
 using namespace kiss;
 using namespace kiss::rt;
@@ -22,39 +17,30 @@ using kiss::seqcheck::StateStore;
 
 namespace {
 
-/// Scheduling context carried alongside each state when a context-switch
-/// bound is active.
+/// Scheduling context of a state when a context-switch bound is active:
+/// the thread that ran last and the switches taken so far. It is part of
+/// the state's key (two states that differ only in context must not be
+/// merged), kept as a 3-byte suffix — the thread id in one byte (0xff =
+/// none yet) and the switch count in two.
 struct SchedCtx {
   int32_t LastThread = -1;
   uint32_t Switches = 0;
 };
 
-/// Back-pointer for counterexample reconstruction, indexed by state id.
-struct ParentLink {
-  uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-  TraceStep Step;
-};
+constexpr size_t SchedCtxBytes = 3;
 
-std::vector<TraceStep> rebuildTrace(const std::vector<ParentLink> &Links,
-                                    uint32_t Id, const TraceStep &Last) {
-  std::vector<TraceStep> Trace;
-  Trace.push_back(Last);
-  while (Links[Id].Parent != StateStore::InvalidId) {
-    Trace.push_back(Links[Id].Step);
-    Id = Links[Id].Parent;
-  }
-  std::reverse(Trace.begin(), Trace.end());
-  return Trace;
+void appendCtx(const SchedCtx &Ctx, std::string &Out) {
+  Out.push_back(static_cast<char>(Ctx.LastThread & 0xff));
+  Out.push_back(static_cast<char>(Ctx.Switches & 0xff));
+  Out.push_back(static_cast<char>((Ctx.Switches >> 8) & 0xff));
 }
 
-void makeKeyInto(const MachineState &S, const SchedCtx &Ctx, bool Bounded,
-                 std::string &Out) {
-  encodeStateInto(S, Out);
-  if (Bounded) {
-    Out.push_back(static_cast<char>(Ctx.LastThread & 0xff));
-    Out.push_back(static_cast<char>(Ctx.Switches & 0xff));
-    Out.push_back(static_cast<char>((Ctx.Switches >> 8) & 0xff));
-  }
+SchedCtx readCtx(std::string_view Suffix) {
+  auto Byte = [&](size_t I) { return static_cast<uint8_t>(Suffix[I]); };
+  SchedCtx Ctx;
+  Ctx.LastThread = Byte(0) == 0xff ? -1 : Byte(0);
+  Ctx.Switches = Byte(1) | uint32_t(Byte(2)) << 8;
+  return Ctx;
 }
 
 } // namespace
@@ -62,231 +48,79 @@ void makeKeyInto(const MachineState &S, const SchedCtx &Ctx, bool Bounded,
 CheckResult conc::checkProgram(const lang::Program &P,
                                const cfg::ProgramCFG &CFG,
                                const ConcOptions &Opts) {
-  CheckResult R;
-
-  const lang::FuncDecl *Entry = P.getEntryFunction();
-  if (!Entry || Entry->getNumParams() != 0) {
-    R.Outcome = CheckOutcome::RuntimeError;
-    R.Message = "program has no parameterless entry function";
-    return R;
-  }
-  uint32_t EntryIdx = P.getFunctionIndex(P.getEntryName());
-
   StepOptions SO;
   SO.AllowAsync = true;
-  SO.MaxThreads = Opts.MaxThreads;
   SO.MaxFrames = Opts.MaxFrames;
   const bool Bounded = Opts.ContextSwitchBound >= 0;
+  // A bounded key holds the last thread's id in one byte (0xff = none).
+  SO.MaxThreads = Bounded ? std::min<uint32_t>(Opts.MaxThreads, 0xff)
+                          : Opts.MaxThreads;
 
-  struct WorkItem {
-    MachineState S;
-    SchedCtx Ctx;
-    uint32_t Id;
-    uint32_t Depth = 0; ///< BFS layer (root = 0).
-  };
-
-  StateStore Store(Opts.Store);
-  std::vector<ParentLink> Links;
-  std::deque<WorkItem> Queue;
+  Explorer X(P, CFG, Opts);
+  MachineState S;
   std::string Scratch;
+  std::vector<uint32_t> Atomic, Others;
 
-  // Exploration telemetry (rt::ExplorationStats): store-side counters come
-  // from the StateStore at exit; the loop tracks frontier peak and depth.
-  uint64_t FrontierPeak = 1;
-  uint64_t DepthMax = 0;
-  ProfileCollector Prof;
-  if (Opts.Profile)
-    Prof.enable(CFG);
-  auto finish = [&](CheckResult &R) {
-    R.StatesExplored = Store.size();
-    const StateStore::IndexStats &IS = Store.indexStats();
-    R.Exploration.DedupHits = IS.Hits;
-    R.Exploration.HashProbes = IS.Probes;
-    R.Exploration.KeyVerifies = IS.Verifies;
-    R.Exploration.HashCollisions = IS.Collisions;
-    R.Exploration.ArenaBytes = Store.arenaBytes();
-    R.Exploration.IndexBytes = Store.indexBytes();
-    R.Exploration.FrontierPeak = FrontierPeak;
-    R.Exploration.DepthMax = DepthMax;
-    if (Prof.on())
-      R.Profile = Prof.take();
-    if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Queue.size(),
-                            Store.memoryBytes());
-  };
-
-  // Deterministic time-series: sampled at the top of the pop loop, keyed
-  // by state count (see seqcheck's checkProgram for the contract).
-  const auto StartTime = std::chrono::steady_clock::now();
-  uint64_t NextSample = Opts.SampleEvery;
-  auto takeSample = [&](uint64_t Frontier) {
-    const StateStore::IndexStats &IS = Store.indexStats();
-    ExplorationSample Smp;
-    Smp.States = Store.size();
-    Smp.Transitions = R.TransitionsExplored;
-    Smp.DedupHits = IS.Hits;
-    Smp.Frontier = Frontier;
-    Smp.ArenaBytes = Store.arenaBytes();
-    Smp.IndexBytes = Store.indexBytes();
-    Smp.DepthMax = DepthMax;
-    Smp.WallMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - StartTime)
-                     .count();
-    R.Series.push_back(Smp);
-  };
-
-  MachineState Init = makeInitialState(P, CFG, EntryIdx);
-  SchedCtx InitCtx;
-  makeKeyInto(Init, InitCtx, Bounded, Scratch);
-  uint32_t InitId = Store.intern(Scratch).first;
-  Links.push_back(ParentLink{});
-  Queue.push_back(WorkItem{std::move(Init), InitCtx, InitId, 0});
-
-  // The resource governor (deadline / memory / cancellation); its fast
-  // path is one decrement-and-compare per expanded state, like the
-  // heartbeat's tick.
-  gov::Governor Gov(Opts.Budget);
-
-  // StatesExplored is the number of distinct states discovered
-  // (= Store.size()) on every exit path.
-  while (!Queue.empty()) {
-    if (Store.size() > Opts.MaxStates) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States;
-      R.Message = "state budget of " + std::to_string(Opts.MaxStates) +
-                  " states exceeded";
-      finish(R);
-      return R;
+  auto Expand = [&](StateStore::KeyRef Ref) {
+    std::string_view Key = Ref;
+    SchedCtx Ctx;
+    if (Bounded) {
+      Ctx = readCtx(Key.substr(Key.size() - SchedCtxBytes));
+      Key.remove_suffix(SchedCtxBytes);
     }
-    if (Gov.shouldStop(Store.memoryBytes())) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = Gov.reason();
-      R.Message = Gov.message();
-      finish(R);
-      return R;
-    }
-    if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Queue.size(), Store.memoryBytes());
-    if (Opts.SampleEvery && Store.size() >= NextSample) {
-      takeSample(Queue.size());
-      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
-    }
+    decodeStateInto(Key, S);
 
-    WorkItem Item = std::move(Queue.front());
-    Queue.pop_front();
-    const MachineState &S = Item.S;
-    if (Item.Depth > DepthMax)
-      DepthMax = Item.Depth;
-
-    // Which threads may run? Threads holding atomicity get exclusivity
-    // while enabled.
-    std::vector<uint32_t> Live;
-    std::vector<uint32_t> AtomicLive;
-    for (uint32_t T = 0, E = S.Threads.size(); T != E; ++T) {
-      if (S.Threads[T].isTerminated())
-        continue;
-      Live.push_back(T);
-      if (S.Threads[T].AtomicDepth > 0)
-        AtomicLive.push_back(T);
-    }
-
-    // Step all candidate threads; remember which produced successors.
+    // Steps each thread of \p Tids that the bound lets run; \p AnyEnabled
+    // says whether one of them had successors. \returns true if a step
+    // ended the run.
     auto tryThreads = [&](const std::vector<uint32_t> &Tids,
-                          bool &AnyEnabled) -> bool {
-      AnyEnabled = false;
+                          bool &AnyEnabled) {
       for (uint32_t T : Tids) {
-        if (Bounded && Item.Ctx.LastThread >= 0 &&
-            static_cast<int32_t>(T) != Item.Ctx.LastThread &&
-            Item.Ctx.Switches >=
-                static_cast<uint32_t>(Opts.ContextSwitchBound))
+        if (Bounded && Ctx.LastThread >= 0 &&
+            static_cast<int32_t>(T) != Ctx.LastThread &&
+            Ctx.Switches >= static_cast<uint32_t>(Opts.ContextSwitchBound))
           continue; // Switching to T would exceed the bound.
 
         const Frame &Top = S.Threads[T].Frames.back();
-        TraceStep Step{T, Top.Func, Top.PC};
+        const TraceStep Step{T, Top.Func, Top.PC};
         StepResult SR = stepThread(P, CFG, S, T, SO);
-
-        switch (SR.K) {
-        case StepResult::Kind::Blocked:
-          if (Prof.on())
-            Prof.bump(Step.Func, Step.Node, 0, 0);
-          continue;
-        case StepResult::Kind::AssertFailure:
-        case StepResult::Kind::RuntimeError:
-          R.Outcome = SR.K == StepResult::Kind::AssertFailure
-                          ? CheckOutcome::AssertionFailure
-                          : CheckOutcome::RuntimeError;
-          R.Message = SR.Message;
-          R.ErrorLoc = SR.ErrorLoc;
-          R.Trace = rebuildTrace(Links, Item.Id, Step);
-          finish(R);
-          return true;
-        case StepResult::Kind::BoundExceeded:
-          R.Outcome = CheckOutcome::BoundExceeded;
-          R.Bound = gov::BoundReason::States; // Frame/thread bound.
-          R.Message = SR.Message;
-          R.ErrorLoc = SR.ErrorLoc;
-          finish(R);
-          return true;
-        case StepResult::Kind::Ok: {
+        if (SR.K == StepResult::Kind::Ok) {
           AnyEnabled = true;
-          SchedCtx NCtx = Item.Ctx;
-          if (Bounded) {
-            if (NCtx.LastThread >= 0 &&
-                NCtx.LastThread != static_cast<int32_t>(T))
-              ++NCtx.Switches;
-            NCtx.LastThread = static_cast<int32_t>(T);
+          SchedCtx NCtx = Ctx;
+          if (NCtx.LastThread >= 0 &&
+              NCtx.LastThread != static_cast<int32_t>(T))
+            ++NCtx.Switches;
+          NCtx.LastThread = static_cast<int32_t>(T);
+          for (const MachineState &NS : SR.Successors) {
+            encodeStateInto(NS, Scratch);
+            if (Bounded)
+              appendCtx(NCtx, Scratch);
+            X.emit(Scratch, Step);
           }
-          uint64_t NewStates = 0;
-          for (MachineState &NS : SR.Successors) {
-            ++R.TransitionsExplored;
-            makeKeyInto(NS, NCtx, Bounded, Scratch);
-            auto [NId, Inserted] = Store.internChild(Scratch, Item.Id);
-            if (!Inserted)
-              continue;
-            ++NewStates;
-            assert(NId == Links.size() &&
-                   "ids are dense in insertion order");
-            Links.push_back(ParentLink{Item.Id, Step});
-            Queue.push_back(
-                WorkItem{std::move(NS), NCtx, NId, Item.Depth + 1});
-          }
-          if (Prof.on())
-            Prof.bump(Step.Func, Step.Node, SR.Successors.size(),
-                      SR.Successors.size() - NewStates);
-          if (Queue.size() > FrontierPeak)
-            FrontierPeak = Queue.size();
-          break;
         }
-        }
+        if (X.finishStep(SR.K, Step, std::move(SR.Message), SR.ErrorLoc))
+          return true;
       }
       return false;
     };
 
-    bool AnyAtomicEnabled = false;
-    if (!AtomicLive.empty()) {
-      if (tryThreads(AtomicLive, AnyAtomicEnabled))
-        return R;
-      if (AnyAtomicEnabled)
-        continue; // Exclusivity: only atomic holders ran from this state.
-      // All atomic holders are blocked: fall through to the other threads.
-      std::vector<uint32_t> Others;
-      for (uint32_t T : Live)
-        if (S.Threads[T].AtomicDepth == 0)
-          Others.push_back(T);
-      bool AnyEnabled = false;
-      if (tryThreads(Others, AnyEnabled))
-        return R;
-      continue;
-    }
-
+    // Which threads may run? Threads holding atomicity run exclusively
+    // while one of them is enabled; when all are blocked, the others run.
+    // No enabled thread at all is a terminal state (completion or a
+    // permanently blocked assume), not an error.
+    Atomic.clear();
+    Others.clear();
+    for (uint32_t T = 0, E = S.Threads.size(); T != E; ++T)
+      if (!S.Threads[T].isTerminated())
+        (S.Threads[T].AtomicDepth > 0 ? Atomic : Others).push_back(T);
     bool AnyEnabled = false;
-    if (tryThreads(Live, AnyEnabled))
-      return R;
-    // No enabled thread: terminal (completion or a permanently blocked
-    // assume) — not an error.
-  }
+    if (tryThreads(Atomic, AnyEnabled))
+      return true;
+    return !AnyEnabled && tryThreads(Others, AnyEnabled);
+  };
 
-  R.Outcome = CheckOutcome::Safe;
-  finish(R);
-  return R;
+  std::string RootCtx;
+  if (Bounded)
+    appendCtx(SchedCtx(), RootCtx);
+  return X.run(Expand, RootCtx);
 }

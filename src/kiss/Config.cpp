@@ -134,8 +134,9 @@ const FieldSpec Table[] = {
        return setNonNegDouble(V, C.Common.Budget.DeadlineSec, E);
      }},
     {"memory_budget_mb", "memory-budget", "<mb>", nullptr,
-     "visited-set byte budget per check (reason: memory),\n"
-     "exit 3",
+     "byte budget per check on what the exploration holds:\n"
+     "visited set, its index and the parent links, by\n"
+     "capacity (reason: memory), exit 3",
      /*CacheRelevant=*/false,
      [](const CheckConfig &C) {
        return renderU64(C.Common.Budget.MemoryBytes / (1024 * 1024));

@@ -10,7 +10,8 @@
 /// the fuzzing campaign agree on what "common run configuration" means.
 /// Embedding structs treat these fields as the source of truth: nested
 /// engine options (e.g. SeqOptions::Budget) are overwritten from here at
-/// the entry point.
+/// the entry point. Also the exploration knobs every explicit-state
+/// engine shares (ExploreOptions).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <string_view>
 
 namespace kiss::telemetry {
+class Heartbeat;
 class RunRecorder;
 } // namespace kiss::telemetry
 
@@ -108,6 +110,35 @@ inline bool parseStoreMode(std::string_view S, StoreMode &Out) {
     return false;
   return true;
 }
+
+/// The knobs of one explicit-state exploration that every engine shares:
+/// rt::Explorer reads these, and seqcheck::SeqOptions and
+/// conc::ConcOptions extend them with their engine-specific fields.
+struct ExploreOptions {
+  /// State budget: approximates the paper's 20-minute/800MB resource
+  /// bound structurally (Budget enforces it literally).
+  uint64_t MaxStates = 1'000'000;
+  uint32_t MaxFrames = 256;
+  /// Deadline / memory / cancellation budget, checked from the BFS loop.
+  /// A default budget never trips.
+  gov::RunBudget Budget;
+  /// If set, ticked once per expanded state with (distinct states,
+  /// frontier size, held bytes) — the CLI's --progress heartbeat. Not
+  /// owned.
+  telemetry::Heartbeat *Progress = nullptr;
+  /// Visited-set storage: full encodings (Flat) or parent diffs with
+  /// keyframes (Delta). Verdicts and counts are identical; only
+  /// ArenaBytes (and speed) differ.
+  StoreMode Store = StoreMode::Flat;
+  /// If nonzero, snapshot an rt::ExplorationSample into
+  /// CheckResult::Series every time the visited-state count crosses a
+  /// multiple of this stride. Samples are keyed by state count and are
+  /// byte-identical across engines (see rt::ExplorationSample).
+  uint64_t SampleEvery = 0;
+  /// Collect the per-CFG-node hot-path profile into CheckResult::Profile.
+  /// Attribution is bit-identical across --exec engines.
+  bool Profile = false;
+};
 
 /// Run configuration shared by every entry point that can fan out over
 /// multiple checks: KissOptions, CorpusRunOptions, and FuzzOptions embed

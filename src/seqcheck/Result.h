@@ -63,8 +63,8 @@ struct ExplorationStats {
   /// Bytes held by the store's encoding arena at exit.
   uint64_t ArenaBytes = 0;
   /// Bytes held by the store's hash index and record table at exit.
-  /// ArenaBytes + IndexBytes is exactly what a gov::RunBudget memory
-  /// budget accounts, so telemetry and governance agree on "memory".
+  /// These are bytes in use; a gov::RunBudget memory budget counts the
+  /// capacities and the parent links too (rt::Explorer::heldBytes).
   uint64_t IndexBytes = 0;
   /// Largest BFS frontier (queued, unexpanded states) seen.
   uint64_t FrontierPeak = 0;

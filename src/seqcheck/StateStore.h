@@ -122,9 +122,14 @@ public:
     return Slots.size() * sizeof(Slot) + Records.size() * sizeof(Record);
   }
 
-  /// Total accounted bytes (arena + index): what a gov::RunBudget memory
-  /// budget measures and what ExplorationStats reports.
-  size_t memoryBytes() const { return arenaBytes() + indexBytes(); }
+  /// Bytes the store holds, by capacity rather than use: the arena, the
+  /// record table, the hash index and the delta-mode scratch. The store's
+  /// share of what a gov::RunBudget memory budget counts.
+  size_t heldBytes() const {
+    return Arena.capacity() + Records.capacity() * sizeof(Record) +
+           Slots.capacity() * sizeof(Slot) + MatBuf.capacity() +
+           MatTmp.capacity() + DeltaBuf.capacity();
+  }
 
   /// Index-traffic counters, maintained by intern() (grow()'s rehash
   /// probes are not counted). Feeds rt::ExplorationStats.

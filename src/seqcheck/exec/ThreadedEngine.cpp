@@ -7,13 +7,9 @@
 #include "seqcheck/exec/ThreadedEngine.h"
 
 #include "seqcheck/Eval.h"
-#include "seqcheck/Profile.h"
-#include "seqcheck/StateStore.h"
-#include "telemetry/Telemetry.h"
+#include "seqcheck/Explore.h"
 
-#include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 
 using namespace kiss;
@@ -85,24 +81,6 @@ struct FuncInfo {
 /// chainable ops before interning (prevents unbounded work on Nop cycles).
 constexpr unsigned SuperStepCap = 64;
 
-/// Back-pointer for counterexample reconstruction, indexed by state id.
-struct ParentLink {
-  uint32_t Parent = StateStore::InvalidId; ///< InvalidId for the root.
-  TraceStep Step;
-};
-
-std::vector<TraceStep> rebuildTrace(const std::vector<ParentLink> &Links,
-                                    uint32_t Id, const TraceStep &Last) {
-  std::vector<TraceStep> Trace;
-  Trace.push_back(Last);
-  while (Links[Id].Parent != StateStore::InvalidId) {
-    Trace.push_back(Links[Id].Step);
-    Id = Links[Id].Parent;
-  }
-  std::reverse(Trace.begin(), Trace.end());
-  return Trace;
-}
-
 /// Appends a u32 in the canonical-key format at cursor \p C, which must
 /// point into a buffer with room for it.
 void putKeyU32(char *&C, uint32_t V) {
@@ -145,7 +123,7 @@ class ThreadedEngine {
 public:
   ThreadedEngine(const Program &P, const cfg::ProgramCFG &CFG,
                  const SeqOptions &Opts)
-      : P(P), CFG(CFG), Opts(Opts), Store(Opts.Store) {}
+      : P(P), CFG(CFG), Opts(Opts), X(P, CFG, Opts) {}
 
   CheckResult run();
 
@@ -153,35 +131,20 @@ private:
   void lower();
   Op lowerNode(const cfg::Node &N) const;
 
-  /// Expands the working state W (already decoded, thread 0 live) whose id
-  /// is \p Id. Successors are interned via emit(). On an error/bound
-  /// outcome EMsg/ELoc carry the details.
-  StepResult::Kind expand(uint32_t Id, uint32_t Depth,
-                          const TraceStep &Step);
+  /// Expands the working state W (already decoded, thread 0 live), whose
+  /// step is \p Step. Successors are interned via emit()/emitKey(). On an
+  /// error/bound outcome EMsg/ELoc carry the details.
+  StepResult::Kind expand(const TraceStep &Step);
 
-  /// Interns the current working state as a successor of \p Id.
-  void emit(uint32_t Id, uint32_t Depth, const TraceStep &Step) {
-    ++R.TransitionsExplored;
+  /// Interns the current working state as a successor.
+  void emit(const TraceStep &Step) {
     encodeStateInto(W, Scratch);
-    record(Store.internChild(Scratch, Id), Id, Depth, Step);
+    X.emit(Scratch, Step);
   }
 
   /// Interns PKey — the parent's key with successor bytes already patched
-  /// in place — as a successor of \p Id. The fast path: no re-encoding.
-  void emitKey(uint32_t Id, uint32_t Depth, const TraceStep &Step) {
-    ++R.TransitionsExplored;
-    record(Store.internChild(PKey, Id), Id, Depth, Step);
-  }
-
-  void record(std::pair<uint32_t, bool> Interned, uint32_t Id,
-              uint32_t Depth, const TraceStep &Step) {
-    if (!Interned.second)
-      return;
-    assert(Interned.first == Links.size() &&
-           "ids are dense in insertion order");
-    Links.push_back(ParentLink{Id, Step});
-    Depths.push_back(Depth + 1);
-  }
+  /// in place — as a successor. The fast path: no re-encoding.
+  void emitKey(const TraceStep &Step) { X.emit(PKey, Step); }
 
   //===--- In-place key patching ---===//
   //
@@ -267,15 +230,12 @@ private:
   std::vector<uint32_t> FuncBase; ///< Function -> offset into Ops.
   std::vector<FuncInfo> Funcs;
 
-  StateStore Store;
-  std::vector<ParentLink> Links;
-  std::vector<uint32_t> Depths; ///< BFS layer per state id.
-  std::string Scratch;          ///< Encoding buffer, reused per intern.
-  MachineState W;               ///< The one working state, reused per pop.
-  std::string PKey;             ///< The popped key, patched per successor.
-  KeyLayout Layout;             ///< Patch offsets into PKey.
+  Explorer X;
+  std::string Scratch; ///< Encoding buffer, reused per intern.
+  MachineState W;      ///< The one working state, reused per pop.
+  std::string PKey;    ///< The popped key, patched per successor.
+  KeyLayout Layout;    ///< Patch offsets into PKey.
 
-  CheckResult R;
   std::string EMsg;
   SourceLoc ELoc;
 };
@@ -392,8 +352,7 @@ Op ThreadedEngine::lowerNode(const cfg::Node &N) const {
   return O;
 }
 
-StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
-                                        const TraceStep &Step) {
+StepResult::Kind ThreadedEngine::expand(const TraceStep &Step) {
   Thread &T0 = W.Threads[0];
   const Op &I = Ops[FuncBase[T0.Frames.back().Func] + T0.Frames.back().PC];
 
@@ -411,12 +370,12 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
     KISS_OP(L_Jump) {
       if (!Opts.SuperStep) {
         patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -426,7 +385,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       // chase), so each one is a patch of the same four key bytes.
       for (uint32_t K = 0; K != I.NSuccs; ++K) {
         patchPC(I.Succs[K]);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
       }
       return StepResult::Kind::Ok;
     }
@@ -436,13 +395,13 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       if (!Opts.SuperStep) {
         patchPC(I.Succ0);
         patchU32(Layout.AtomicOff, T0.AtomicDepth + 1);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       ++T0.AtomicDepth;
       chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -452,13 +411,13 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       if (!Opts.SuperStep) {
         patchPC(I.Succ0);
         patchU32(Layout.AtomicOff, T0.AtomicDepth - 1);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       --T0.AtomicDepth;
       chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -472,14 +431,14 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
           varIn(I.Dst).K != ValueKind::Ptr) {
         patchValue(varOff(I.Dst), V);
         patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       M.writeVar(I.Dst, V);
       T0.Frames.back().PC = I.Succ0;
       if (Opts.SuperStep)
         chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -494,7 +453,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       T0.Frames.back().PC = I.Succ0;
       if (Opts.SuperStep)
         chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -506,17 +465,17 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         patchPC(I.Succ0);
         const uint32_t Off = varOff(I.Dst);
         patchValue(Off, Value::makeBool(false));
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         patchValue(Off, Value::makeBool(true));
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       Machine M(P, W, 0);
       M.writeVar(I.Dst, Value::makeBool(false));
-      emit(Id, Depth, Step);
+      emit(Step);
       M.writeVar(I.Dst, Value::makeBool(true));
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -527,7 +486,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         const uint32_t Off = varOff(I.Dst);
         for (int64_t V = I.Lo; V <= I.Hi; ++V) {
           patchValue(Off, Value::makeInt(V));
-          emitKey(Id, Depth, Step);
+          emitKey(Step);
         }
         return StepResult::Kind::Ok;
       }
@@ -535,7 +494,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       Machine M(P, W, 0);
       for (int64_t V = I.Lo; V <= I.Hi; ++V) {
         M.writeVar(I.Dst, Value::makeInt(V));
-        emit(Id, Depth, Step);
+        emit(Step);
       }
       return StepResult::Kind::Ok;
     }
@@ -553,12 +512,12 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       }
       if (!Opts.SuperStep) {
         patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -572,12 +531,12 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         return StepResult::Kind::Blocked;
       if (!Opts.SuperStep) {
         patchPC(I.Succ0);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0;
       chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -634,7 +593,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         patchPC(I.Succ0); // Caller resumes after the call.
         patchU32(Layout.AtomicOff + 4,
                  static_cast<uint32_t>(T0.Frames.size()) + 1);
-        emitKey(Id, Depth, Step);
+        emitKey(Step);
         return StepResult::Kind::Ok;
       }
       T0.Frames.back().PC = I.Succ0; // Caller resumes after the call.
@@ -657,7 +616,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
       T0.Frames.push_back(std::move(NF));
       if (Opts.SuperStep)
         chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
 
@@ -698,7 +657,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
             patchValue(RetVar.isGlobal() ? Layout.GlobalOff[RetVar.Index]
                                          : Layout.PrevLocalOff[RetVar.Index],
                        Ret);
-          emitKey(Id, Depth, Step);
+          emitKey(Step);
           return StepResult::Kind::Ok;
         }
       }
@@ -707,7 +666,7 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
         M.writeVar(RetVar, Ret); // Acts on the caller's top frame.
       if (Opts.SuperStep && !T0.Frames.empty())
         chase();
-      emit(Id, Depth, Step);
+      emit(Step);
       return StepResult::Kind::Ok;
     }
   }
@@ -715,170 +674,20 @@ StepResult::Kind ThreadedEngine::expand(uint32_t Id, uint32_t Depth,
 }
 
 CheckResult ThreadedEngine::run() {
-  const FuncDecl *Entry = P.getEntryFunction();
-  if (!Entry || Entry->getNumParams() != 0) {
-    R.Outcome = CheckOutcome::RuntimeError;
-    R.Message = "program has no parameterless entry function";
-    return R;
-  }
-  uint32_t EntryIdx = P.getFunctionIndex(P.getEntryName());
-
   lower();
-
-  uint64_t FrontierPeak = 1;
-  uint64_t DepthMax = 0;
-  uint64_t PopCursor = 0; ///< States popped so far, for the heartbeat.
-  ProfileCollector Prof;
-  if (Opts.Profile)
-    Prof.enable(CFG);
-  auto finish = [&](CheckResult &R) {
-    R.StatesExplored = Store.size();
-    const StateStore::IndexStats &IS = Store.indexStats();
-    R.Exploration.DedupHits = IS.Hits;
-    R.Exploration.HashProbes = IS.Probes;
-    R.Exploration.KeyVerifies = IS.Verifies;
-    R.Exploration.HashCollisions = IS.Collisions;
-    R.Exploration.ArenaBytes = Store.arenaBytes();
-    R.Exploration.IndexBytes = Store.indexBytes();
-    R.Exploration.FrontierPeak = FrontierPeak;
-    R.Exploration.DepthMax = DepthMax;
-    if (Prof.on())
-      R.Profile = Prof.take();
-    if (Opts.Progress)
-      Opts.Progress->finish(Store.size(), Store.size() - PopCursor,
-                            Store.memoryBytes());
-  };
-
-  // Deterministic time-series, mirroring the interpreter: sampled at the
-  // top of the pop loop, where Store.size(), the frontier
-  // (Store.size() - Cursor == the interpreter's Queue.size()), and every
-  // counter agree with the interpreter at the same pop index.
-  const auto StartTime = std::chrono::steady_clock::now();
-  uint64_t NextSample = Opts.SampleEvery;
-  auto takeSample = [&](uint64_t Frontier) {
-    const StateStore::IndexStats &IS = Store.indexStats();
-    ExplorationSample S;
-    S.States = Store.size();
-    S.Transitions = R.TransitionsExplored;
-    S.DedupHits = IS.Hits;
-    S.Frontier = Frontier;
-    S.ArenaBytes = Store.arenaBytes();
-    S.IndexBytes = Store.indexBytes();
-    S.DepthMax = DepthMax;
-    S.WallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - StartTime)
-                   .count();
-    R.Series.push_back(S);
-  };
-
-  {
-    MachineState Init = makeInitialState(P, CFG, EntryIdx);
-    encodeStateInto(Init, Scratch);
-    Store.intern(Scratch);
-    Links.push_back(ParentLink{});
-    Depths.push_back(0);
-  }
-
-  gov::Governor Gov(Opts.Budget);
-
-  // The BFS queue is implicit: ids are assigned in first-seen order and
-  // expanded in id order, which is exactly the interpreter's FIFO order.
-  for (uint32_t Cursor = 0; Cursor < Store.size(); ++Cursor) {
-    PopCursor = Cursor + 1;
-    if (Store.size() > Opts.MaxStates) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States;
-      R.Message = "state budget of " + std::to_string(Opts.MaxStates) +
-                  " states exceeded";
-      finish(R);
-      return R;
-    }
-    if (Gov.shouldStop(Store.memoryBytes())) {
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = Gov.reason();
-      R.Message = Gov.message();
-      finish(R);
-      return R;
-    }
-    if (Opts.Progress)
-      Opts.Progress->tick(Store.size(), Store.size() - Cursor,
-                          Store.memoryBytes());
-    if (Opts.SampleEvery && Store.size() >= NextSample) {
-      takeSample(Store.size() - Cursor);
-      NextSample = (Store.size() / Opts.SampleEvery + 1) * Opts.SampleEvery;
-    }
-
+  return X.run([this](StateStore::KeyRef Key) {
     // Copy the popped key into the patch buffer: successor interns may
     // grow the arena (or, in delta mode, reuse the materialization
     // scratch), so the KeyRef view cannot outlive them.
-    {
-      StateStore::KeyRef K = Store.key(Cursor);
-      PKey.assign(K.data(), K.size());
-    }
+    PKey.assign(Key.data(), Key.size());
     decodeStateInto(PKey, W, Layout);
-    uint32_t Depth = Depths[Cursor];
-    if (Depth > DepthMax)
-      DepthMax = Depth;
-
     if (W.Threads[0].Frames.empty())
-      continue; // Accepting leaf: the program ran to completion.
-
+      return false; // Accepting leaf: the program ran to completion.
     const Frame &Top = W.Threads[0].Frames.back();
-    TraceStep Step{0, Top.Func, Top.PC};
-
-    // Profile attribution: transitions/new states emitted by this
-    // expansion, recovered as counter deltas around expand(). Bumped only
-    // on the Ok and Blocked outcomes — error outcomes return the run
-    // immediately in both engines, so attribution stays bit-identical
-    // with the interpreter's per-successor accounting.
-    const uint64_t ProfTransBase = R.TransitionsExplored;
-    const uint64_t ProfStatesBase = Store.size();
-
-    switch (expand(Cursor, Depth, Step)) {
-    case StepResult::Kind::Blocked:
-      if (Prof.on())
-        Prof.bump(Step.Func, Step.Node, 0, 0);
-      continue;
-
-    case StepResult::Kind::AssertFailure:
-      R.Outcome = CheckOutcome::AssertionFailure;
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      R.Trace = rebuildTrace(Links, Cursor, Step);
-      finish(R);
-      return R;
-
-    case StepResult::Kind::RuntimeError:
-      R.Outcome = CheckOutcome::RuntimeError;
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      R.Trace = rebuildTrace(Links, Cursor, Step);
-      finish(R);
-      return R;
-
-    case StepResult::Kind::BoundExceeded:
-      R.Outcome = CheckOutcome::BoundExceeded;
-      R.Bound = gov::BoundReason::States; // Frame/thread analysis bound.
-      R.Message = std::move(EMsg);
-      R.ErrorLoc = ELoc;
-      finish(R);
-      return R;
-
-    case StepResult::Kind::Ok:
-      if (Prof.on()) {
-        const uint64_t Trans = R.TransitionsExplored - ProfTransBase;
-        const uint64_t NewStates = Store.size() - ProfStatesBase;
-        Prof.bump(Step.Func, Step.Node, Trans, Trans - NewStates);
-      }
-      if (Store.size() - (Cursor + 1) > FrontierPeak)
-        FrontierPeak = Store.size() - (Cursor + 1);
-      break;
-    }
-  }
-
-  R.Outcome = CheckOutcome::Safe;
-  finish(R);
-  return R;
+    const TraceStep Step{0, Top.Func, Top.PC};
+    const StepResult::Kind K = expand(Step);
+    return X.finishStep(K, Step, std::move(EMsg), ELoc);
+  });
 }
 
 } // namespace

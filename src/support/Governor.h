@@ -70,8 +70,8 @@ private:
 struct RunBudget {
   /// Wall-clock deadline in seconds from Governor construction (0 = none).
   double DeadlineSec = 0;
-  /// Byte budget on the checker's accounted memory — the visited-set
-  /// arena + index bytes (0 = none).
+  /// Byte budget on what the exploration holds — visited set, index and
+  /// parent links, by capacity (rt::Explorer::heldBytes; 0 = none).
   uint64_t MemoryBytes = 0;
   /// If set, the run stops with BoundReason::Cancelled once the token is
   /// cancelled. Not owned.

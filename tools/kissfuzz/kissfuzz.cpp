@@ -98,7 +98,7 @@ cli::ArgParser makeParser(CliOptions &Opts) {
   P.flagPositive("timeout", Opts.TimeoutSec, "<secs>",
                  "per-engine wall-clock deadline");
   P.flagPositive("memory-budget", Opts.MemoryBudgetMB, "<mb>",
-                 "per-engine visited-set byte budget");
+                 "per-engine exploration byte budget");
   P.flagPositive("threads", Opts.Grammar.Threads, "<n>",
                  "grammar: max threads incl. main (default 2)");
   P.flag("stmts", Opts.Grammar.Stmts, "<n>",
